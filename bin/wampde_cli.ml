@@ -624,11 +624,7 @@ let quasi_cmd =
     let doc = "Number of slow-time collocation slices (odd)." in
     Arg.(value & opt int 15 & info [ "n2" ] ~docv:"N" ~doc)
   in
-  let gmres_arg =
-    let doc = "Use matrix-free GMRES with block-Jacobi preconditioning." in
-    Arg.(value & flag & info [ "gmres" ] ~doc)
-  in
-  let run obs n1 n2 gmres =
+  let run obs n1 n2 solver =
     (* the embedded envelope warmup integrates to t2 = 200 *)
     with_obs ~cmd:"quasi" ~total:200. ~circuit:"vco-a" ~n1 obs @@ fun () ->
     let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
@@ -636,8 +632,11 @@ let quasi_cmd =
     let options = Wampde.Envelope.default_options ~n1 () in
     let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
     let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
-    let linear_solver = if gmres then `Gmres else `Dense in
-    let sol = Wampde.Quasiperiodic.solve dae ~linear_solver ~options ~p2:40. ~n2 ~guess () in
+    let sol =
+      Wampde.Quasiperiodic.solve dae
+        ~options:{ options with Wampde.Envelope.solver }
+        ~p2:40. ~n2 ~guess ()
+    in
     Printf.printf "# residual %.3e, mean frequency %.6f MHz\n"
       (Wampde.Quasiperiodic.residual_norm dae ~options sol)
       (Wampde.Quasiperiodic.mean_frequency sol);
@@ -647,7 +646,7 @@ let quasi_cmd =
       sol.Wampde.Quasiperiodic.t2
   in
   let doc = "quasiperiodic (periodic boundary conditions) WaMPDE solve of VCO-A" in
-  Cmd.v (Cmd.info "quasi" ~doc) Term.(const run $ obs_term $ n1_arg $ n2_arg $ gmres_arg)
+  Cmd.v (Cmd.info "quasi" ~doc) Term.(const run $ obs_term $ n1_arg $ n2_arg $ solver_arg)
 
 let waveform_cmd =
   let per_cycle_arg =

@@ -9,9 +9,12 @@
     slice (eq. (20) holding at every [t2]), and Newton on the coupled
     system of [n2 (n1 n + 1)] unknowns.
 
-    The linear systems may be solved densely (LU) or matrix-free with
-    GMRES and a block-Jacobi (slice-diagonal) preconditioner — the
-    paper's pointer to iterative methods [Saa96] for large systems. *)
+    The system is a stack of {!Steady.Collocation} slices coupled by
+    the slow derivative.  Its Newton systems are solved by dense LU of
+    the materialised Jacobian, or matrix-free: GMRES on the structured
+    operator, preconditioned by each slice's bordered FFT-block
+    inverse, with the slow coupling left to GMRES — the paper's pointer
+    to iterative methods [Saa96] for large systems. *)
 
 open Linalg
 
@@ -22,23 +25,18 @@ type solution = {
   slices : Vec.t array array;  (** [slices.(m).(j)]: state at [(t1_j, t2_m)] *)
 }
 
-(** [`Dense] assembles and LU-factors the full Jacobian; [`Gmres]
-    assembles it but solves iteratively with a block-Jacobi
-    preconditioner; [`Krylov] never assembles it — structured
-    matrix-free products with per-slice bordered FFT-block
-    preconditioning (falling back to dense on stall). *)
-type linear_solver = [ `Dense | `Gmres | `Krylov ]
-
 (** [solve dae ~options ~p2 ~n2 ~guess ()] solves the two-periodic
     WaMPDE.  [options] supplies [n1], the phase condition and the
     differentiation scheme (its [theta] is ignored — there is no
-    time-stepping here).  [guess] provides initial slices and
+    time-stepping here), and [solver] picks the linear solver as for
+    the envelope: [Dense], [Krylov] (falling back to dense when the
+    preconditioner degenerates or GMRES stalls), or [Auto] on the
+    [n2 (n1 n + 1)] unknowns.  [guess] provides initial slices and
     frequencies, most naturally a settled {!Envelope} run sampled over
     one slow period (see {!guess_from_envelope}).  Raises [Failure] if
     Newton does not converge. *)
 val solve :
   Dae.t ->
-  ?linear_solver:linear_solver ->
   ?max_iterations:int ->
   ?tol:float ->
   options:Envelope.options ->

@@ -177,24 +177,3 @@ val make_bordered :
 (** [bordered_apply bp v] applies the bordered approximate inverse to a
     length-[dim + 1] vector; the result is freshly allocated. *)
 val bordered_apply : bordered -> Vec.t -> Vec.t
-
-(** {1 Packaged Newton-direction solves} *)
-
-(** [solve_op op b] runs preconditioned GMRES on the block system.
-    Check [converged] on the result and fall back to dense LU (calling
-    {!fallback_to_dense}) if it failed. *)
-val solve_op :
-  ?dft:dft -> ?restart:int -> ?max_iter:int -> ?tol:float -> op -> Vec.t -> Gmres.result
-
-(** [solve_bordered op ~border_col ~border_row b] runs preconditioned
-    GMRES on the bordered system ([b] has length [dim + 1]). *)
-val solve_bordered :
-  ?dft:dft ->
-  ?restart:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  op ->
-  border_col:Vec.t ->
-  border_row:Vec.t ->
-  Vec.t ->
-  Gmres.result

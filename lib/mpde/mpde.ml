@@ -1,5 +1,6 @@
 open Linalg
 module Obs = Wampde_obs
+module Collocation = Steady.Collocation
 
 type system = { dae : Dae.t; p1 : float; b_fast : t1:float -> t2:float -> Vec.t }
 
@@ -20,65 +21,27 @@ let c_steps = Obs.Metrics.counter "mpde.steps"
 let newton_options =
   { Nonlin.Newton.default_options with max_iterations = 50; residual_tol = 1e-9 }
 
-let unpack ~n1 ~n y = Array.init n1 (fun j -> Array.sub y (j * n) n)
-let pack grid =
-  let n1 = Array.length grid and n = Array.length grid.(0) in
-  Vec.init (n1 * n) (fun idx -> grid.(idx / n).(idx mod n))
+(* One t1 slice of the MPDE at slow time t2:
+   (1/p1) (D Q)_j + f(t2, X_j) + b_fast(t1_j, t2). *)
+let forcing sys (grid : Collocation.t) ~t2 j =
+  sys.b_fast ~t1:(sys.p1 *. float_of_int j /. float_of_int grid.n1) ~t2
 
-(* g_{j,i} = (1/p1) (D Q)_{j,i} + f(t2, X_j)_i + b_fast(t1_j, t2)_i *)
-let eval_g sys ~n1 ~d ~t2 states =
-  let dae = sys.dae in
-  let n = dae.Dae.dim in
-  let qs = Array.map dae.Dae.q states in
-  let g = Array.make (n1 * n) 0. in
-  for j = 0 to n1 - 1 do
-    let t1j = sys.p1 *. float_of_int j /. float_of_int n1 in
-    let fj = dae.Dae.f ~t:t2 states.(j) in
-    let bj = sys.b_fast ~t1:t1j ~t2 in
-    let dj = d.(j) in
-    for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      g.((j * n) + i) <- (!s /. sys.p1) +. fj.(i) +. bj.(i)
-    done
-  done;
-  g
+let slice ?step sys grid ~t2 =
+  Collocation.slice ~time:(fun _ -> t2) ~forcing:(forcing sys grid ~t2) ?step
+    (Collocation.Fixed (1. /. sys.p1))
 
-let g_jacobian sys ~n1 ~d ~t2 states =
-  let dae = sys.dae in
-  let n = dae.Dae.dim in
-  let cs = Array.map dae.Dae.dq states in
-  let jac = Mat.zeros (n1 * n) (n1 * n) in
-  for j = 0 to n1 - 1 do
-    let gj = dae.Dae.df ~t:t2 states.(j) in
-    for k = 0 to n1 - 1 do
-      let djk = d.(j).(k) /. sys.p1 in
-      if djk <> 0. || j = k then
-        for i = 0 to n - 1 do
-          for l = 0 to n - 1 do
-            let v = (djk *. cs.(k).(i).(l)) +. (if j = k then gj.(i).(l) else 0.) in
-            if v <> 0. then
-              jac.((j * n) + i).((k * n) + l) <- jac.((j * n) + i).((k * n) + l) +. v
-          done
-        done
-    done
-  done;
-  jac
+let spatial sys grid ~t2 states =
+  Collocation.spatial sys.dae grid ~alpha:(1. /. sys.p1) ~time:(fun _ -> t2)
+    ~forcing:(forcing sys grid ~t2) states
 
 (* Matrix-free Newton direction through the structured collocation
    operator; falls back to the dense Jacobian when GMRES stalls or the
    preconditioner degenerates. *)
-let structured_linear_solve ~build_op ~dense_jacobian x r =
-  let fallback () =
-    Structured.fallback_to_dense ();
-    Lu.solve (Lu.factor (dense_jacobian x)) r
-  in
-  match Structured.solve_op ~dft:Fourier.Fft.structured_dft (build_op x) r with
-  | res when res.Gmres.converged -> res.Gmres.x
-  | _ -> fallback ()
-  | exception (Cx.Clu.Singular _ | Failure _) -> fallback ()
+let structured_linear_solve csys x r =
+  let lin = Collocation.linearise csys x in
+  match Collocation.krylov ~restart:80 ~tol:1e-10 lin r with
+  | Some dx -> dx
+  | None -> Lu.solve (Lu.factor (Collocation.dense lin)) r
 
 let periodic_initial ?(solver = Structured.auto) sys ~n1 ~guess =
   if n1 mod 2 = 0 then invalid_arg "Mpde.periodic_initial: n1 must be odd";
@@ -87,31 +50,22 @@ let periodic_initial ?(solver = Structured.auto) sys ~n1 ~guess =
     "mpde.periodic_initial"
   @@ fun () ->
   Obs.Scope.with_scope "mpde" @@ fun () ->
-  let n = sys.dae.Dae.dim in
-  let d = Fourier.Series.diff_matrix n1 in
-  let residual y = eval_g sys ~n1 ~d ~t2:0. (unpack ~n1 ~n y) in
-  let jacobian y = g_jacobian sys ~n1 ~d ~t2:0. (unpack ~n1 ~n y) in
+  let grid = Collocation.make ~n1 ~n:sys.dae.Dae.dim () in
+  let csys = Collocation.system sys.dae grid [| slice sys grid ~t2:0. |] in
+  let linear_solve =
+    if Structured.use_krylov solver ~dim:(Collocation.dim csys) then
+      Some (structured_linear_solve csys)
+    else None
+  in
   let outcome =
-    if Structured.use_krylov solver ~dim:(n1 * n) then begin
-      (* J = (1/p1) (D (x) dq) + blockdiag(df) *)
-      let build_op y =
-        let st = unpack ~n1 ~n y in
-        Structured.make_op ~alpha:(1. /. sys.p1) ~d
-          ~c_blocks:(Array.map sys.dae.Dae.dq st)
-          ~b_blocks:(Array.map (fun x -> sys.dae.Dae.df ~t:0. x) st)
-      in
-      Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.initial"
-        ~linear_solve:(structured_linear_solve ~build_op ~dense_jacobian:jacobian)
-        ~jacobian ~residual (pack guess)
-    end
-    else
-      Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.initial" ~jacobian ~residual
-        (pack guess)
+    Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.initial" ?linear_solve
+      ~jacobian:(Collocation.jacobian csys) ~residual:(Collocation.residual csys)
+      (Collocation.pack grid guess)
   in
   let report = outcome.Nonlin.Polyalg.report in
   if not report.Nonlin.Newton.converged then
     raise (Solve_failure { stage = "Mpde.periodic_initial"; report });
-  unpack ~n1 ~n report.Nonlin.Newton.x
+  Collocation.unpack grid report.Nonlin.Newton.x
 
 let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
   if n1 mod 2 = 0 then invalid_arg "Mpde.simulate: n1 must be odd";
@@ -128,11 +82,11 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
   let dae = sys.dae in
   let n = dae.Dae.dim in
   if Array.length init <> n1 then invalid_arg "Mpde.simulate: init size <> n1";
-  let d = Fourier.Series.diff_matrix n1 in
+  let grid = Collocation.make ~n1 ~n () in
   let theta = 0.5 in
   let t2s = ref [ 0. ] and slices = ref [ Array.map Array.copy init ] in
   let t2 = ref 0. and states = ref init in
-  let g = ref (eval_g sys ~n1 ~d ~t2:0. !states) in
+  let g = ref (spatial sys grid ~t2:0. !states) in
   (* the march targets the fixed step [h2]; the controller only kicks
      in when Newton fails, halving the step and growing it back toward
      [h2] across subsequent accepted steps *)
@@ -145,65 +99,21 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
   while !t2 < t2_end -. (1e-9 *. t2_end) do
     let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
     let t2_new = !t2 +. h in
-    let q0 = Array.map dae.Dae.q !states in
-    let g0 = !g in
-    let residual y =
-      let st = unpack ~n1 ~n y in
-      let gy = eval_g sys ~n1 ~d ~t2:t2_new st in
-      let res = Array.make (n1 * n) 0. in
-      for j = 0 to n1 - 1 do
-        let qj = dae.Dae.q st.(j) in
-        for i = 0 to n - 1 do
-          let idx = (j * n) + i in
-          res.(idx) <-
-            qj.(i) -. q0.(j).(i) +. (h *. theta *. gy.(idx)) +. (h *. (1. -. theta) *. g0.(idx))
-        done
-      done;
-      res
-    in
-    let jacobian y =
-      let st = unpack ~n1 ~n y in
-      let jg = g_jacobian sys ~n1 ~d ~t2:t2_new st in
-      let cs = Array.map dae.Dae.dq st in
-      let jac = Mat.zeros (n1 * n) (n1 * n) in
-      for j = 0 to n1 - 1 do
-        for i = 0 to n - 1 do
-          let row = (j * n) + i in
-          for k = 0 to n1 - 1 do
-            for l = 0 to n - 1 do
-              let col = (k * n) + l in
-              let v = (h *. theta *. jg.(row).(col)) +. (if j = k then cs.(j).(i).(l) else 0.) in
-              if v <> 0. then jac.(row).(col) <- jac.(row).(col) +. v
-            done
-          done
-        done
-      done;
-      jac
-    in
+    let step = Collocation.Theta { h; theta; q0 = Array.map dae.Dae.q !states; g0 = !g } in
+    let csys = Collocation.system dae grid [| slice ~step sys grid ~t2:t2_new |] in
+    let residual = Collocation.residual csys in
+    let y0 = Collocation.pack grid !states in
     let report =
-      if (not !escalated) && Structured.use_krylov solver ~dim:(n1 * n) then begin
-        (* J = (h theta / p1) (D (x) dq) + blockdiag(dq + h theta df) *)
-        let build_op y =
-          let st = unpack ~n1 ~n y in
-          let cs = Array.map dae.Dae.dq st in
-          let b_blocks =
-            Array.init n1 (fun j ->
-                let gj = dae.Dae.df ~t:t2_new st.(j) in
-                Mat.init n n (fun i l -> cs.(j).(i).(l) +. (h *. theta *. gj.(i).(l))))
-          in
-          Structured.make_op ~alpha:(h *. theta /. sys.p1) ~d ~c_blocks:cs ~b_blocks
-        in
+      if (not !escalated) && Structured.use_krylov solver ~dim:(n1 * n) then
         Nonlin.Newton.solve_with ~options:newton_options ~label:"mpde.step"
-          ~linear_solve:(structured_linear_solve ~build_op ~dense_jacobian:jacobian)
-          ~residual (pack !states)
-      end
+          ~linear_solve:(structured_linear_solve csys) ~residual y0
       else
         (* dense path (small systems, or after Krylov escalation): let
            the cascade rescue hard steps before the controller shrinks
            the step any further *)
         (Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.step"
            ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region ]
-           ~jacobian ~residual (pack !states))
+           ~jacobian:(Collocation.jacobian csys) ~residual y0)
           .Nonlin.Polyalg.report
     in
     if not report.Nonlin.Newton.converged then begin
@@ -211,8 +121,8 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
       if Step_control.should_escalate ctrl then escalated := true
     end
     else begin
-      states := unpack ~n1 ~n report.Nonlin.Newton.x;
-      g := eval_g sys ~n1 ~d ~t2:t2_new !states;
+      states := Collocation.unpack grid report.Nonlin.Newton.x;
+      g := spatial sys grid ~t2:t2_new !states;
       Obs.Metrics.incr c_steps;
       Step_control.record_accept ctrl ~t:!t2 ~h_used:h;
       (if Obs.enabled () then begin
@@ -247,47 +157,25 @@ let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
   let dae = sys.dae in
   let n = dae.Dae.dim in
   if Array.length guess <> n2 then invalid_arg "Mpde.quasiperiodic: guess size <> n2";
-  let d1 = Fourier.Series.diff_matrix n1 in
-  let d2 = Fourier.Series.diff_matrix n2 in
-  let block = n1 * n in
-  let dim = n2 * block in
-  let pack2 () =
-    Vec.init dim (fun idx ->
-        let m = idx / block and r = idx mod block in
-        guess.(m).(r / n).(r mod n))
-  in
-  let unpack2 y =
-    Array.init n2 (fun m -> Array.init n1 (fun j -> Array.sub y ((m * block) + (j * n)) n))
-  in
-  let residual y =
-    let st = unpack2 y in
-    let res = Array.make dim 0. in
-    for m = 0 to n2 - 1 do
-      let t2m = p2 *. float_of_int m /. float_of_int n2 in
-      let gm = eval_g sys ~n1 ~d:d1 ~t2:t2m st.(m) in
-      (* slow derivative: (1/p2) sum_p d2.(m).(p) q(X^p_j) *)
-      let qs = Array.map (fun slice -> Array.map dae.Dae.q slice) st in
-      for j = 0 to n1 - 1 do
-        for i = 0 to n - 1 do
-          let s = ref 0. in
-          for p = 0 to n2 - 1 do
-            s := !s +. (d2.(m).(p) *. qs.(p).(j).(i))
-          done;
-          res.((m * block) + (j * n) + i) <- gm.((j * n) + i) +. (!s /. p2)
-        done
-      done
-    done;
-    res
+  let grid = Collocation.make ~n1 ~n () in
+  let csys =
+    Collocation.system
+      ~slow:(Fourier.Series.diff_matrix n2, p2)
+      dae grid
+      (Array.init n2 (fun m -> slice sys grid ~t2:(p2 *. float_of_int m /. float_of_int n2)))
   in
   let outcome =
     Nonlin.Polyalg.solve
       ~options:{ newton_options with max_iterations = 80 }
-      ?cascade ~label:"mpde.quasiperiodic" ~residual (pack2 ())
+      ?cascade ~label:"mpde.quasiperiodic" ~residual:(Collocation.residual csys)
+      (Array.concat (Array.to_list (Array.map (Collocation.pack grid) guess)))
   in
   let report = outcome.Nonlin.Polyalg.report in
   if not report.Nonlin.Newton.converged then
     raise (Solve_failure { stage = "Mpde.quasiperiodic"; report });
-  let st = unpack2 report.Nonlin.Newton.x in
+  let st =
+    Array.init n2 (fun m -> Collocation.unpack grid ~off:(m * n1 * n) report.Nonlin.Newton.x)
+  in
   {
     t2 = Vec.init n2 (fun m -> p2 *. float_of_int m /. float_of_int n2);
     slices = st;
@@ -295,25 +183,7 @@ let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
   }
 
 let eval_bivariate res ~component ~t1 ~t2 =
-  let m = Array.length res.t2 in
-  let idx =
-    if t2 <= res.t2.(0) then 0
-    else if t2 >= res.t2.(m - 1) then m - 2
-    else begin
-      let lo = ref 0 and hi = ref (m - 1) in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if res.t2.(mid) <= t2 then lo := mid else hi := mid
-      done;
-      !lo
-    end
-  in
-  let slice_values i = Array.map (fun s -> s.(component)) res.slices.(i) in
-  let wa = Fourier.Series.interp (slice_values idx) ~period:res.p1 t1 in
-  let wb = Fourier.Series.interp (slice_values (idx + 1)) ~period:res.p1 t1 in
-  let ta = res.t2.(idx) and tb = res.t2.(idx + 1) in
-  let frac = if tb = ta then 0. else Float.max 0. (Float.min 1. ((t2 -. ta) /. (tb -. ta))) in
-  wa +. (frac *. (wb -. wa))
+  Collocation.interp_stack ~t2s:res.t2 ~slices:res.slices ~period:res.p1 ~component ~t1 t2
 
 let eval_waveform res ~component t =
   eval_bivariate res ~component ~t1:(Float.rem t res.p1) ~t2:t

@@ -17,7 +17,7 @@ type quasi_params = {
   p2 : float;
   t_warm : float;
   h2_warm : float;
-  linear_solver : Wampde.Quasiperiodic.linear_solver;
+  solver : Linalg.Structured.strategy;
 }
 
 type analysis = Envelope of envelope_params | Quasiperiodic of quasi_params
@@ -82,17 +82,12 @@ let id_ok s =
          || c = '-' || c = '_' || c = '.')
        s
 
+(* "gmres" is a wire alias of "krylov", kept for existing clients. *)
 let parse_strategy = function
   | None | Some "auto" -> Ok Linalg.Structured.auto
   | Some "dense" -> Ok Linalg.Structured.Dense
-  | Some "krylov" -> Ok Linalg.Structured.Krylov
+  | Some ("krylov" | "gmres") -> Ok Linalg.Structured.Krylov
   | Some s -> err "bad-value" "unknown solver %S (use dense, krylov or auto)" s
-
-let parse_linear_solver = function
-  | None | Some "dense" -> Ok `Dense
-  | Some "gmres" -> Ok `Gmres
-  | Some "krylov" -> Ok `Krylov
-  | Some s -> err "bad-value" "unknown solver %S (use dense, gmres or krylov)" s
 
 let parse_envelope j =
   let* t_end = Result.bind (num_field "t_end" j) (required "t_end") in
@@ -134,8 +129,8 @@ let parse_quasi j =
   in
   let* h2_warm = num_field "h2_warm" j in
   let* h2_warm = positive "h2_warm" (Option.value h2_warm ~default:0.5) in
-  let* linear_solver = Result.bind (str_field "solver" j) parse_linear_solver in
-  Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; linear_solver })
+  let* solver = Result.bind (str_field "solver" j) parse_strategy in
+  Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; solver })
 
 let parse_job j =
   let* id = Result.bind (str_field "id" j) (required "id") in

@@ -43,7 +43,7 @@ type quasi_params = {
   p2 : float;  (** slow (forcing) period *)
   t_warm : float;  (** envelope warm-up horizon (must exceed [p2]) *)
   h2_warm : float;  (** fixed warm-up step *)
-  linear_solver : Wampde.Quasiperiodic.linear_solver;
+  solver : Linalg.Structured.strategy;  (** ["gmres"] on the wire is [Krylov] *)
 }
 
 type analysis = Envelope of envelope_params | Quasiperiodic of quasi_params

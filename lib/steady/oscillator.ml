@@ -12,76 +12,13 @@ let () =
 
 let period orbit = 1. /. orbit.omega
 
-(* Flat layout: y.(j * n + i) = variable i at grid point j; y.(n1 * n) = omega. *)
-let pack grid omega =
-  let n1 = Array.length grid in
-  let n = Array.length grid.(0) in
-  Vec.init ((n1 * n) + 1) (fun idx ->
-      if idx = n1 * n then omega else grid.(idx / n).(idx mod n))
-
-let unpack ~n1 ~n y = (Array.init n1 (fun j -> Array.sub y (j * n) n), y.(n1 * n))
-
-(* Autonomous system: f evaluated at t = 0 (no explicit slow forcing). *)
-let collocation_residual dae ~n1 ~d ~phase_component y =
-  let n = dae.Dae.dim in
-  let states, omega = unpack ~n1 ~n y in
-  let qs = Array.map dae.Dae.q states in
-  let res = Array.make ((n1 * n) + 1) 0. in
-  for j = 0 to n1 - 1 do
-    let fj = dae.Dae.f ~t:0. states.(j) in
-    let dj = d.(j) in
-    for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      res.((j * n) + i) <- (omega *. !s) +. fj.(i)
-    done
-  done;
-  (* phase condition: d x_comp / d t1 at grid point 0 *)
-  let s = ref 0. in
-  for k = 0 to n1 - 1 do
-    s := !s +. (d.(0).(k) *. states.(k).(phase_component))
-  done;
-  res.(n1 * n) <- !s;
-  res
-
-let collocation_jacobian dae ~n1 ~d ~phase_component y =
-  let n = dae.Dae.dim in
-  let states, omega = unpack ~n1 ~n y in
-  let qs = Array.map dae.Dae.q states in
-  let cs = Array.map dae.Dae.dq states in
-  let dim = (n1 * n) + 1 in
-  let jac = Mat.zeros dim dim in
-  for j = 0 to n1 - 1 do
-    let gj = dae.Dae.df ~t:0. states.(j) in
-    let dj = d.(j) in
-    for k = 0 to n1 - 1 do
-      let djk = dj.(k) in
-      if djk <> 0. || j = k then
-        for i = 0 to n - 1 do
-          for l = 0 to n - 1 do
-            let value =
-              (omega *. djk *. cs.(k).(i).(l)) +. (if j = k then gj.(i).(l) else 0.)
-            in
-            if value <> 0. then
-              jac.((j * n) + i).((k * n) + l) <- jac.((j * n) + i).((k * n) + l) +. value
-          done
-        done
-    done;
-    (* d residual / d omega = (D Q)_j *)
-    for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      jac.((j * n) + i).(n1 * n) <- !s
-    done
-  done;
-  for k = 0 to n1 - 1 do
-    jac.(n1 * n).((k * n) + phase_component) <- d.(0).(k)
-  done;
-  jac
+(* Autonomous system: f evaluated at t = 0 (no explicit slow forcing);
+   the frequency is the trailing unknown, pinned by d x_comp / d t1 = 0
+   at grid point 0. *)
+let collocation dae ~n1 ~phase_component =
+  let grid = Collocation.make ~n1 ~n:dae.Dae.dim () in
+  let row = Collocation.derivative_row grid ~component:phase_component in
+  (grid, Collocation.system dae grid [| Collocation.slice (Collocation.Free row) |])
 
 let solve dae ~n1 ~guess ~omega_guess ~phase_component =
   if n1 mod 2 = 0 then invalid_arg "Oscillator.solve: n1 must be odd";
@@ -90,20 +27,20 @@ let solve dae ~n1 ~guess ~omega_guess ~phase_component =
     "oscillator.solve"
   @@ fun () ->
   Obs.Scope.with_scope "oscillator" @@ fun () ->
-  let n = dae.Dae.dim in
-  let d = Fourier.Series.diff_matrix n1 in
-  let residual y = collocation_residual dae ~n1 ~d ~phase_component y in
-  let jacobian y = collocation_jacobian dae ~n1 ~d ~phase_component y in
+  let grid, sys = collocation dae ~n1 ~phase_component in
+  let residual = Collocation.residual sys and jacobian = Collocation.jacobian sys in
   let options = { Nonlin.Newton.default_options with max_iterations = 80; residual_tol = 1e-9 } in
   let outcome =
-    Nonlin.Polyalg.solve ~options ~label:"oscillator" ~jacobian ~residual (pack guess omega_guess)
+    Nonlin.Polyalg.solve ~options ~label:"oscillator" ~jacobian ~residual
+      (Collocation.pack grid ~omega:omega_guess guess)
   in
   let report = outcome.Nonlin.Polyalg.report in
   if not report.Nonlin.Newton.converged then
     raise
       (Nonlin.Polyalg.Solve_failed
          { label = "oscillator"; attempts = outcome.Nonlin.Polyalg.attempts });
-  let grid, omega = unpack ~n1 ~n report.Nonlin.Newton.x in
+  let x = report.Nonlin.Newton.x in
+  let grid = Collocation.unpack grid x and omega = x.(n1 * dae.Dae.dim) in
   if omega <= 0. then raise (Nonphysical "Oscillator.solve: converged to non-positive frequency");
   { omega; grid }
 
@@ -156,9 +93,7 @@ let amplitude orbit ~component:i =
   (hi -. lo) /. 2.
 
 let residual_norm dae orbit =
-  let n1 = Array.length orbit.grid in
-  let d = Fourier.Series.diff_matrix n1 in
-  let y = pack orbit.grid orbit.omega in
-  let res = collocation_residual dae ~n1 ~d ~phase_component:0 y in
+  let grid, sys = collocation dae ~n1:(Array.length orbit.grid) ~phase_component:0 in
+  let res = Collocation.residual sys (Collocation.pack grid ~omega:orbit.omega orbit.grid) in
   (* exclude the phase row *)
   Vec.norm_inf (Array.sub res 0 (Array.length res - 1))

@@ -2,69 +2,27 @@ open Linalg
 
 type solution = { period : float; grid : Vec.t array }
 
-(* Flat layout: y.(j * n + i) = state variable i at collocation point j. *)
-let pack grid =
-  let n1 = Array.length grid in
-  let n = Array.length grid.(0) in
-  Vec.init (n1 * n) (fun idx -> grid.(idx / n).(idx mod n))
-
-let unpack ~n1 ~n y = Array.init n1 (fun j -> Array.sub y (j * n) n)
-
-let assemble dae ~period ~n1 ~d y =
-  (* residual of the collocation system *)
-  let n = dae.Dae.dim in
-  let states = unpack ~n1 ~n y in
-  let qs = Array.map dae.Dae.q states in
-  let res = Array.make (n1 * n) 0. in
-  for j = 0 to n1 - 1 do
-    let tj = period *. float_of_int j /. float_of_int n1 in
-    let fj = dae.Dae.f ~t:tj states.(j) in
-    let dj = d.(j) in
-    for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      res.((j * n) + i) <- (!s /. period) +. fj.(i)
-    done
-  done;
-  res
-
-let jacobian dae ~period ~n1 ~d y =
-  let n = dae.Dae.dim in
-  let states = unpack ~n1 ~n y in
-  let cs = Array.map dae.Dae.dq states in
-  let jac = Mat.zeros (n1 * n) (n1 * n) in
-  for j = 0 to n1 - 1 do
-    let tj = period *. float_of_int j /. float_of_int n1 in
-    let gj = dae.Dae.df ~t:tj states.(j) in
-    for k = 0 to n1 - 1 do
-      let djk = d.(j).(k) /. period in
-      if djk <> 0. || j = k then
-        for i = 0 to n - 1 do
-          for l = 0 to n - 1 do
-            let value = (djk *. cs.(k).(i).(l)) +. (if j = k then gj.(i).(l) else 0.) in
-            jac.((j * n) + i).((k * n) + l) <- jac.((j * n) + i).((k * n) + l) +. value
-          done
-        done
-    done
-  done;
-  jac
+(* Forced system with no frequency unknown: 1/period (D Q)_j + f(t_j, X_j). *)
+let collocation dae ~period ~n1 =
+  let grid = Collocation.make ~n1 ~n:dae.Dae.dim () in
+  let time j = period *. float_of_int j /. float_of_int n1 in
+  let slice = Collocation.slice ~time (Collocation.Fixed (1. /. period)) in
+  (grid, Collocation.system dae grid [| slice |])
 
 let solve dae ~period ~n1 ~guess =
   if n1 mod 2 = 0 then invalid_arg "Periodic.solve: n1 must be odd";
   if Array.length guess <> n1 then invalid_arg "Periodic.solve: guess length <> n1";
-  let n = dae.Dae.dim in
-  let d = Fourier.Series.diff_matrix n1 in
-  let residual y = assemble dae ~period ~n1 ~d y in
-  let jac y = jacobian dae ~period ~n1 ~d y in
+  let grid, sys = collocation dae ~period ~n1 in
   let options = { Nonlin.Newton.default_options with max_iterations = 60; residual_tol = 1e-9 } in
-  let report = Nonlin.Newton.solve ~options ~jacobian:jac ~residual (pack guess) in
+  let report =
+    Nonlin.Newton.solve ~options ~jacobian:(Collocation.jacobian sys)
+      ~residual:(Collocation.residual sys) (Collocation.pack grid guess)
+  in
   if not report.Nonlin.Newton.converged then
     failwith
       (Printf.sprintf "Periodic.solve: Newton failed (residual %.3e)"
          report.Nonlin.Newton.residual_norm);
-  { period; grid = unpack ~n1 ~n report.Nonlin.Newton.x }
+  { period; grid = Collocation.unpack grid report.Nonlin.Newton.x }
 
 let solve_from_transient dae ~period ~n1 ~warmup_periods x0 =
   let t_warm = period *. float_of_int warmup_periods in
@@ -88,6 +46,5 @@ let eval sol ~component:i t =
   Fourier.Series.eval c ~period:sol.period t
 
 let residual_norm dae sol =
-  let n1 = Array.length sol.grid in
-  let d = Fourier.Series.diff_matrix n1 in
-  Vec.norm_inf (assemble dae ~period:sol.period ~n1 ~d (pack sol.grid))
+  let grid, sys = collocation dae ~period:sol.period ~n1:(Array.length sol.grid) in
+  Vec.norm_inf (Collocation.residual sys (Collocation.pack grid sol.grid))

@@ -97,10 +97,40 @@ let pool_tests =
 
 (* ---------- determinism: bitwise identity across job counts ---------- *)
 
+(* VCO-A envelope run settled over five slow periods, the quasiperiodic
+   solver's starting guess (as the serve daemon's quasi jobs build it). *)
+let quasi_warmup =
+  lazy
+    (let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+     let orbit =
+       Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1:15 ~period_hint:(1. /. 0.75)
+         (Circuit.Vco.initial_state frozen)
+     in
+     let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+     let options = Wampde.Envelope.default_options ~n1:15 () in
+     (dae, Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit))
+
 let det_tests =
   let open QCheck in
   let jobs_gen = Gen.int_range 1 8 in
   [
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"Krylov quasiperiodic solve is bitwise identical at jobs 1 and 2" ~count:3
+         (make Gen.(oneofl [ 7; 9; 11 ]))
+         (fun n2 ->
+           let dae, env = Lazy.force quasi_warmup in
+           let options = Wampde.Envelope.default_options ~n1:15 ~solver:Structured.Krylov () in
+           let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
+           let solve jobs =
+             with_jobs jobs (fun () ->
+                 Obs.Metrics.with_isolated (fun () ->
+                     Obs.set_enabled true;
+                     let sol = Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2 ~guess () in
+                     (sol, Obs.Metrics.(count (counter "gmres.precond.fallbacks")))))
+           in
+           let (a : Wampde.Quasiperiodic.solution), fa = solve 1 in
+           let b, fb = solve 2 in
+           fa = 0 && fb = 0 && a.omega = b.omega && a.slices = b.slices));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"parallel FD Jacobian is bitwise identical to serial" ~count:40
          (make Gen.(pair (int_range 1 24) jobs_gen))

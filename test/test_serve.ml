@@ -104,6 +104,25 @@ let protocol_tests =
           Alcotest.(check (float 1e-12)) "t_warm default" 200. p.t_warm
         | Ok _ -> Alcotest.fail "wrong request"
         | Error { message; _ } -> Alcotest.fail message);
+    Alcotest.test_case "quasi solver names parse, gmres as krylov" `Quick (fun () ->
+        let solver name =
+          let field = match name with None -> "" | Some s -> Printf.sprintf ",\"solver\":\"%s\"" s in
+          match
+            Protocol.parse_request
+              (Printf.sprintf
+                 "{\"type\":\"job\",\"id\":\"q\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\"%s}"
+                 field)
+          with
+          | Ok (Protocol.Submit { analysis = Protocol.Quasiperiodic p; _ }) -> Ok p.solver
+          | Ok _ -> Alcotest.fail "wrong request"
+          | Error { message; _ } -> Error message
+        in
+        let open Linalg.Structured in
+        Alcotest.(check bool) "default auto" true (solver None = Ok auto);
+        Alcotest.(check bool) "dense" true (solver (Some "dense") = Ok Dense);
+        Alcotest.(check bool) "krylov" true (solver (Some "krylov") = Ok Krylov);
+        Alcotest.(check bool) "gmres alias" true (solver (Some "gmres") = Ok Krylov);
+        Alcotest.(check bool) "unknown rejected" true (Result.is_error (solver (Some "lu"))));
     Alcotest.test_case "control requests parse" `Quick (fun () ->
         (match Protocol.parse_request "{\"type\":\"cancel\",\"id\":\"x\"}" with
         | Ok (Protocol.Cancel "x") -> ()

@@ -254,19 +254,28 @@ let quasi_tests =
         let options = Wampde.Envelope.default_options ~n1:25 () in
         let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
         let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2:11 ~t_from:160. in
-        let dense = Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2:11 ~guess () in
-        let gmres =
-          Wampde.Quasiperiodic.solve dae ~linear_solver:`Gmres ~options ~p2:40. ~n2:11 ~guess ()
+        let solve solver =
+          Wampde.Quasiperiodic.solve dae
+            ~options:{ options with Wampde.Envelope.solver }
+            ~p2:40. ~n2:11 ~guess ()
         in
-        approx_tol 1e-8 "mean freq"
-          (Wampde.Quasiperiodic.mean_frequency dense)
-          (Wampde.Quasiperiodic.mean_frequency gmres);
-        let krylov =
-          Wampde.Quasiperiodic.solve dae ~linear_solver:`Krylov ~options ~p2:40. ~n2:11 ~guess ()
+        let dense = solve Linalg.Structured.Dense in
+        let krylov, solves, fallbacks =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              let sol = solve Linalg.Structured.Krylov in
+              let count name = Wampde_obs.Metrics.(count (counter name)) in
+              (sol, count "gmres.solves", count "gmres.precond.fallbacks"))
         in
+        (* the matrix-free path really ran, without escalating to dense LU *)
+        Alcotest.(check bool) "gmres solves" true (solves > 0);
+        Alcotest.(check int) "no dense fallback" 0 fallbacks;
         approx_tol 1e-8 "mean freq (matrix-free)"
           (Wampde.Quasiperiodic.mean_frequency dense)
-          (Wampde.Quasiperiodic.mean_frequency krylov));
+          (Wampde.Quasiperiodic.mean_frequency krylov);
+        Array.iteri
+          (fun m om -> approx_tol 1e-7 "omega per slice" om krylov.Wampde.Quasiperiodic.omega.(m))
+          dense.Wampde.Quasiperiodic.omega);
   ]
 
 let special_case_tests =
